@@ -17,6 +17,7 @@ import (
 	"csdm/internal/geo"
 	"csdm/internal/index"
 	"csdm/internal/poi"
+	"csdm/internal/stage"
 	"csdm/internal/synth"
 )
 
@@ -27,10 +28,12 @@ import (
 type stageFixtureT struct {
 	pois     []poi.POI
 	stays    []geo.Point
+	env      stage.Env
 	d        *Diagram
-	clusters [][]int
+	phases   *phaseState
+	dirty    []int
+	units    [][]int // purified units in assembly order, pre-merge
 	leftover []int
-	purified [][]int
 }
 
 var (
@@ -53,22 +56,22 @@ func stageFixture(b *testing.B) *stageFixtureT {
 			stageFix.stays = append(stageFix.stays, j.Pickup, j.Dropoff)
 		}
 		params := DefaultParams()
+		env := envWith(1, index.KindGrid)
 		d := &Diagram{Params: params, POIs: stageFix.pois, kernel: newKernelFor(params)}
-		ctx := context.Background()
-		pop, err := popularity(ctx, d.POIs, stageFix.stays, d.kernel, exec.Options{Workers: 1})
+		pop, err := popularity(env.Ctx, d.POIs, stageFix.stays, d.kernel, env.Opt)
 		if err != nil {
 			panic(err)
 		}
 		d.Pop = pop
-		stageFix.d = d
-		stageFix.clusters, stageFix.leftover, err = d.popularityClusters(ctx, index.KindGrid)
+		stageFix.env, stageFix.d, stageFix.phases = env, d, &phaseState{}
+		stageFix.dirty, err = d.cluster(env, nil, stageFix.phases, nil)
 		if err != nil {
 			panic(err)
 		}
-		stageFix.purified, err = d.purify(ctx, stageFix.clusters, nil, exec.Options{Workers: 1})
-		if err != nil {
+		if err := d.purify(env, nil, stageFix.phases.comps, stageFix.dirty); err != nil {
 			panic(err)
 		}
+		stageFix.units, stageFix.leftover = unitOrder(stageFix.phases.comps, false)
 	})
 	return &stageFix
 }
@@ -86,35 +89,43 @@ func BenchmarkPopularity(b *testing.B) {
 	}
 }
 
+// BenchmarkClustering times the cluster step from a fresh state: the
+// ε_p range structure, the component decomposition and Algorithm 1 on
+// every component.
 func BenchmarkClustering(b *testing.B) {
 	fix := stageFixture(b)
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var nc int
 	for i := 0; i < b.N; i++ {
-		clusters, _, err := fix.d.popularityClusters(ctx, index.KindGrid)
-		if err != nil {
+		st := &phaseState{}
+		if _, err := fix.d.cluster(fix.env, nil, st, nil); err != nil {
 			b.Fatal(err)
 		}
-		nc = len(clusters)
+		nc = 0
+		for _, cs := range st.comps {
+			nc += len(cs.clusters)
+		}
 	}
 	b.ReportMetric(float64(nc), "clusters")
 }
 
 func BenchmarkPurify(b *testing.B) {
 	fix := stageFixture(b)
-	ctx := context.Background()
-	opt := exec.Options{Workers: 1}
+	comps := append([]compState(nil), fix.phases.comps...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var nu int
 	for i := 0; i < b.N; i++ {
-		units, err := fix.d.purify(ctx, fix.clusters, nil, opt)
-		if err != nil {
+		if err := fix.d.purify(fix.env, nil, comps, fix.dirty); err != nil {
 			b.Fatal(err)
 		}
-		nu = len(units)
+		nu = 0
+		for _, cs := range comps {
+			for _, us := range cs.purified {
+				nu += len(us)
+			}
+		}
 	}
 	b.ReportMetric(float64(nu), "units")
 }
@@ -126,7 +137,7 @@ func BenchmarkMerge(b *testing.B) {
 	b.ResetTimer()
 	var nm int
 	for i := 0; i < b.N; i++ {
-		merged, _, err := fix.d.merge(ctx, fix.purified, fix.leftover, index.KindGrid)
+		merged, _, err := fix.d.merge(ctx, fix.units, fix.leftover, index.KindGrid)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,14 +18,7 @@ import (
 // stay points derived from a trajectory corpus (§4.1). Stay points only
 // drive the popularity model; they are not stored.
 func Build(pois []poi.POI, stays []geo.Point, params Params) *Diagram {
-	return BuildTraced(pois, stays, params, nil)
-}
-
-// BuildTraced is Build with telemetry recorded on tr (nil-safe).
-func BuildTraced(pois []poi.POI, stays []geo.Point, params Params, tr *obs.Trace) *Diagram {
-	env := stage.Background()
-	env.Trace = tr
-	d, _ := BuildEnv(env, pois, stays, params)
+	d, _ := BuildEnv(stage.Background(), pois, stays, params)
 	return d
 }
 
@@ -33,81 +26,42 @@ func BuildTraced(pois []poi.POI, stays []geo.Point, params Params, tr *obs.Trace
 // popularity model, popularity clustering (Algorithm 1), semantic
 // purification (Algorithm 2), unit merging — records a span under
 // "csd.build", with counters for clusters grown, purification splits,
-// units merged and singletons kept. The popularity sums and the
-// purification split trees run on env's worker pool; env.Opt.Index
-// selects the spatial backend of every range structure built along the
-// way. The diagram is identical for any worker budget. A canceled
-// env.Ctx aborts between units of work with its error and a nil
-// diagram.
+// units merged and singletons kept. The popularity sums, the
+// per-component clustering and the purification split trees run on
+// env's worker pool; env.Opt.Index selects the spatial backend of
+// every range structure built along the way. The diagram is identical
+// for any worker budget. A canceled env.Ctx aborts between units of
+// work with its error and a nil diagram.
 func BuildEnv(env stage.Env, pois []poi.POI, stays []geo.Point, params Params) (*Diagram, error) {
-	ctx, tr, opt := env.Ctx, env.Trace, env.Opt
 	root := env.StartSpan("csd.build")
 	defer root.End()
-	tr.SetGauge("index.backend", float64(opt.Index))
-
-	d := &Diagram{
-		Params: params,
-		POIs:   pois,
-		kernel: newKernelFor(params),
-	}
 	sp := root.Start("popularity")
 	err := fault.Hit("csd.popularity")
 	var pop []float64
 	if err == nil {
-		pop, err = popularity(ctx, pois, stays, d.kernel, opt)
+		pop, err = popularity(env.Ctx, pois, stays, newKernelFor(params), env.Opt)
 	}
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	d.Pop = pop
-	exec.Note(tr, len(pois), exec.Workers(opt.Workers))
+	exec.Note(env.Trace, len(pois), exec.Workers(env.Opt.Workers))
+	return buildPhases(env, root, pois, pop, params, &phaseState{}, nil)
+}
 
-	sp = root.Start("clustering")
-	var clusters [][]int
-	var leftover []int
-	if err = fault.Hit("csd.clustering"); err == nil {
-		clusters, leftover, err = d.popularityClusters(ctx, opt.Index)
-	}
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	tr.Add("csd.clusters.grown", int64(len(clusters)))
-
-	if !params.SkipPurification {
-		sp = root.Start("purification")
-		if err = fault.Hit("csd.purification"); err == nil {
-			clusters, err = d.purify(ctx, clusters, tr, opt)
-		}
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !params.SkipMerging {
-		sp = root.Start("merging")
-		before := len(clusters)
-		if err = fault.Hit("csd.merging"); err == nil {
-			clusters, leftover, err = d.merge(ctx, clusters, leftover, opt.Index)
-		}
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		tr.Add("csd.units.merged", int64(before-len(clusters)))
-	}
-	if params.KeepSingletons {
-		tr.Add("csd.singletons.kept", int64(len(leftover)))
-		for _, i := range leftover {
-			clusters = append(clusters, []int{i})
-		}
-	}
-	sp = root.Start("finalize")
-	d.finalize(clusters, opt.Index)
-	sp.End()
-	tr.Add("csd.units.final", int64(len(d.Units)))
-	return d, nil
+// BuildFromPopularity runs construction phases 2–4 — Algorithm 1
+// clustering, Algorithm 2 purification, unit merging and finalize — on
+// a popularity vector computed elsewhere. It is the assembly half of
+// the sharded build: internal/shard computes per-POI popularity one
+// tile at a time (exact, because the Gaussian kernel has compact R3σ
+// support), scatters it into one global vector, and hands it here. The
+// result is bit-identical to BuildEnv on the same (pois, stays) pair
+// whenever pop matches BuildEnv's popularity stage bit-for-bit, for
+// any worker count and index backend.
+func BuildFromPopularity(env stage.Env, pois []poi.POI, pop []float64, params Params) (*Diagram, error) {
+	root := env.StartSpan("csd.frompop")
+	defer root.End()
+	return buildPhases(env, root, pois, pop, params, &phaseState{}, nil)
 }
 
 // newKernelFor builds the diagram's Gaussian kernel from its params.
@@ -115,18 +69,102 @@ func newKernelFor(params Params) geo.GaussianKernel {
 	return geo.NewGaussianKernel(params.R3Sigma)
 }
 
-// popularityClusters implements Algorithm 1 (Popularity Based
-// Clustering). It returns the coarse clusters (each a slice of POI
-// indices) and the leftover POIs that were consumed into sub-MinPts
-// clusters or never reached.
-func (d *Diagram) popularityClusters(ctx context.Context, kind index.Kind) (clusters [][]int, leftover []int, err error) {
-	n := len(d.POIs)
-	locIdx := index.New(kind, poi.Locations(d.POIs), d.Params.EpsP)
-	seeds := make([]int, n)
-	for i := range seeds {
-		seeds[i] = i
+// phaseState is what phases 2–3 leave behind: the static ε_p range
+// structure over the POI locations, the ε_p-connected components it
+// decomposes the POIs into, and each component's Algorithm 1–2
+// results. A one-shot build drops it; the Maintainer keeps it so a
+// delta re-runs Algorithms 1–2 on the components it dirtied only.
+type phaseState struct {
+	locIdx index.Index
+	comp   []int // POI id → component id
+	comps  []compState
+}
+
+// compState is the Algorithm 1–2 state of one ε_p-connected component.
+type compState struct {
+	// pois are the component's members, ascending.
+	pois []int
+	// clusters are the kept Algorithm 1 clusters grown within the
+	// component, in seed order (each cluster's first element is its
+	// seed, the minimum member id).
+	clusters [][]int
+	// leftover are members in no kept cluster, ascending.
+	leftover []int
+	// purified[i] are the Algorithm 2 unit member lists of clusters[i]
+	// (nil when purification is skipped).
+	purified [][][]int
+}
+
+// buildPhases is the one implementation of construction phases 2–4
+// behind every constructor: it re-runs Algorithms 1 and 2 on the dirty
+// components of st (every component when st is new), then assembles
+// the diagram from all of st's components on pop. Each step records
+// its span under root and passes its fault site first. On error st's
+// listed components may hold partial results; callers that must not
+// lose state pass a copy.
+func buildPhases(env stage.Env, root *obs.Span, pois []poi.POI, pop []float64, params Params, st *phaseState, dirty []int) (*Diagram, error) {
+	env.Trace.SetGauge("index.backend", float64(env.Opt.Index))
+	d := &Diagram{Params: params, POIs: pois, Pop: pop, kernel: newKernelFor(params)}
+	dirty, err := d.cluster(env, root, st, dirty)
+	if err != nil {
+		return nil, err
 	}
-	return d.growClusters(ctx, locIdx, seeds, make([]bool, n), make([]bool, n))
+	if !params.SkipPurification {
+		if err := d.purify(env, root, st.comps, dirty); err != nil {
+			return nil, err
+		}
+	}
+	if err := d.assemble(env, root, st.comps); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// cluster is Algorithm 1 (Popularity Based Clustering) fanned out over
+// the dirty ε_p components on the worker pool, replacing each one's
+// clusters and leftover. Cluster growth only follows ≤ ε_p edges, so a
+// per-component run grows exactly the clusters a single ascending-seed
+// pass over every POI grows within that component. A new st is first
+// decomposed into components, all of them dirty; cluster returns the
+// components it ran on.
+func (d *Diagram) cluster(env stage.Env, root *obs.Span, st *phaseState, dirty []int) ([]int, error) {
+	sp := root.Start("clustering")
+	defer sp.End()
+	if err := fault.Hit("csd.clustering"); err != nil {
+		return nil, err
+	}
+	if st.locIdx == nil {
+		st.locIdx = index.New(env.Opt.Index, poi.Locations(d.POIs), d.Params.EpsP)
+		var members [][]int
+		st.comp, members = epsComponents(d.POIs, st.locIdx, d.Params.EpsP)
+		st.comps = make([]compState, len(members))
+		dirty = make([]int, len(members))
+		for c, ms := range members {
+			st.comps[c].pois = ms
+			dirty[c] = c
+		}
+	}
+	// Shared across the fan-out: every POI a component run touches is a
+	// member of that component, so concurrent runs write disjoint
+	// elements.
+	n := len(d.POIs)
+	removed, inCluster := make([]bool, n), make([]bool, n)
+	scratch := make([]growScratch, exec.Slots(env.Opt.Workers, len(dirty)))
+	err := exec.ParallelForSlots(env.Ctx, env.Opt.Workers, len(dirty), func(slot, k int) error {
+		cs := &st.comps[dirty[k]]
+		clusters, leftover, err := d.growClusters(env.Ctx, st.locIdx, cs.pois, removed, inCluster, &scratch[slot])
+		*cs = compState{pois: cs.pois, clusters: clusters, leftover: leftover}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var grown int
+	for _, c := range dirty {
+		grown += len(st.comps[c].clusters)
+	}
+	env.Trace.Add("csd.clusters.grown", int64(grown))
+	return dirty, nil
 }
 
 // growClusters is the growth loop of Algorithm 1 over an explicit seed
@@ -134,23 +172,14 @@ func (d *Diagram) popularityClusters(ctx context.Context, kind index.Kind) (clus
 // the ε_p range structure, keeping clusters of MinPts or more; seeds
 // that end up in no kept cluster come back as leftover, in seed order.
 // removed ("P ← P − {p}") and inCluster are the caller's bookkeeping
-// and must be false for every POI reachable from seeds.
-//
-// The full build passes every POI in ascending order. The incremental
-// maintainer passes one ε_p-connected component's members (ascending)
-// at a time, against the same location index: cluster growth only ever
-// follows ≤ ε_p edges, so a component run touches exactly the POIs and
-// produces exactly the clusters the full run produced within that
-// component — the factorization the dirty-region rebuild rests on.
+// and must be false for every POI reachable from seeds. The cluster
+// step passes one ε_p component's members (ascending) at a time.
 // Growth is inherently sequential (each removal changes the candidate
 // set), so the loop stays on one goroutine and only polls ctx between
 // seeds.
-func (d *Diagram) growClusters(ctx context.Context, locIdx index.Index, seeds []int, removed, inCluster []bool) (clusters [][]int, leftover []int, err error) {
-	// Scratch reused across seeds: the growth queue, the raw range-query
-	// buffer and the candidate cluster. A kept cluster is copied out of
-	// clBuf, so the reuse never aliases a result — and the (common)
-	// sub-MinPts seeds allocate nothing at all.
-	var queue, nbr, clBuf []int
+func (d *Diagram) growClusters(ctx context.Context, locIdx index.Index, seeds []int, removed, inCluster []bool, sc *growScratch) (clusters [][]int, leftover []int, err error) {
+	queue, nbr, clBuf := sc.queue, sc.nbr, sc.clBuf
+	defer func() { sc.queue, sc.nbr, sc.clBuf = queue, nbr, clBuf }()
 	// enqueue appends the not-yet-removed POIs within ε_p of POI i —
 	// the range(p, ε_p, P) of Algorithm 1's work queue V.
 	enqueue := func(i int) {
@@ -205,31 +234,77 @@ func (d *Diagram) growClusters(ctx context.Context, locIdx index.Index, seeds []
 	return clusters, leftover, nil
 }
 
-// purify implements Algorithm 2 (Semantic Purification): clusters that
-// are neither single-semantic nor spatially tight are split at the
-// median KL divergence from the center POI's local semantic
-// distribution, until every cluster qualifies as a fine-grained unit.
-// KL and fallback-major splits are counted on tr (nil-safe).
-//
-// Each initial cluster's split tree is independent of the others, so
-// the clusters fan out over the worker pool. The sequential version
-// popped a shared LIFO stack seeded with all clusters, which processes
-// cluster n-1's tree first, then n-2's, and so on; concatenating the
-// per-cluster unit lists in reverse input order reproduces that unit
-// order exactly.
-func (d *Diagram) purify(ctx context.Context, clusters [][]int, tr *obs.Trace, opt exec.Options) ([][]int, error) {
-	exec.Note(tr, len(clusters), exec.Workers(opt.Workers))
-	perCluster, err := exec.ParallelMap(ctx, opt.Workers, len(clusters), func(i int) ([][]int, error) {
-		return d.purifyCluster(clusters[i], tr), nil
+// growScratch is growClusters' reusable scratch: the growth queue, the
+// raw range-query buffer and the candidate cluster. A kept cluster is
+// copied out of clBuf, so reuse never aliases a result — and the
+// (common) sub-MinPts seeds allocate nothing at all. The cluster step
+// keeps one per worker slot, so its many small components share it too.
+type growScratch struct{ queue, nbr, clBuf []int }
+
+// epsComponents decomposes the POI set into ε_p-connected components by
+// flood fill over locIdx. comp maps POI id → component id; members
+// lists each component's POIs ascending, with components ordered by
+// their minimum member id. The member lists are disjoint windows of one
+// backing array, each filled as its component's flood-fill queue.
+func epsComponents(pois []poi.POI, locIdx index.Index, epsP float64) (comp []int, members [][]int) {
+	n := len(pois)
+	comp = make([]int, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	all := make([]int, 0, n)
+	var nbr []int
+	for i := 0; i < n; i++ {
+		if comp[i] >= 0 {
+			continue
+		}
+		c, start := len(members), len(all)
+		comp[i] = c
+		all = append(all, i)
+		for qi := start; qi < len(all); qi++ {
+			nbr = locIdx.WithinAppend(pois[all[qi]].Location, epsP, nbr[:0])
+			for _, k := range nbr {
+				if comp[k] < 0 {
+					comp[k] = c
+					all = append(all, k)
+				}
+			}
+		}
+		ms := all[start:len(all):len(all)]
+		sort.Ints(ms)
+		members = append(members, ms)
+	}
+	return comp, members
+}
+
+// purify implements Algorithm 2 (Semantic Purification) for every
+// cluster of the dirty components: clusters that are neither
+// single-semantic nor spatially tight are split at the median KL
+// divergence from the center POI's local semantic distribution, until
+// every cluster qualifies as a fine-grained unit. Each cluster's split
+// tree is independent of the others, so the clusters fan out over the
+// worker pool. KL and fallback-major splits are counted on env.Trace.
+func (d *Diagram) purify(env stage.Env, root *obs.Span, comps []compState, dirty []int) error {
+	sp := root.Start("purification")
+	defer sp.End()
+	if err := fault.Hit("csd.purification"); err != nil {
+		return err
+	}
+	type ref struct{ c, i int }
+	var refs []ref
+	for _, c := range dirty {
+		cs := &comps[c]
+		cs.purified = make([][][]int, len(cs.clusters))
+		for i := range cs.clusters {
+			refs = append(refs, ref{c, i})
+		}
+	}
+	exec.Note(env.Trace, len(refs), exec.Workers(env.Opt.Workers))
+	return exec.ParallelFor(env.Ctx, env.Opt.Workers, len(refs), func(k int) error {
+		r := refs[k]
+		comps[r.c].purified[r.i] = d.purifyCluster(comps[r.c].clusters[r.i], env.Trace)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var units [][]int
-	for i := len(perCluster) - 1; i >= 0; i-- {
-		units = append(units, perCluster[i]...)
-	}
-	return units, nil
 }
 
 // purifyCluster runs one cluster's split tree to completion. The paper
@@ -288,6 +363,77 @@ func medianSorting(s []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// assemble materializes d's units from every component's state —
+// phase 4 plus the ordering that makes the result independent of how
+// the components were scheduled — then merges, adds singletons and
+// finalizes.
+func (d *Diagram) assemble(env stage.Env, root *obs.Span, comps []compState) error {
+	tr := env.Trace
+	units, leftover := unitOrder(comps, d.Params.SkipPurification)
+	if !d.Params.SkipMerging {
+		sp := root.Start("merging")
+		before := len(units)
+		err := fault.Hit("csd.merging")
+		if err == nil {
+			units, leftover, err = d.merge(env.Ctx, units, leftover, env.Opt.Index)
+		}
+		sp.End()
+		if err != nil {
+			return err
+		}
+		tr.Add("csd.units.merged", int64(before-len(units)))
+	}
+	if d.Params.KeepSingletons {
+		tr.Add("csd.singletons.kept", int64(len(leftover)))
+		for _, i := range leftover {
+			units = append(units, []int{i})
+		}
+	}
+	sp := root.Start("finalize")
+	d.finalize(units, env.Opt.Index)
+	sp.End()
+	tr.Add("csd.units.final", int64(len(d.Units)))
+	return nil
+}
+
+// unitOrder lays the components' pre-merge units and leftovers out in
+// the one canonical order. Clusters go in ascending seed order — the
+// order a single ascending-seed Algorithm 1 pass grows them in, since
+// components interleave in id space. Purified units are the per-cluster
+// unit lists concatenated in reverse cluster order: the original
+// sequential purification popped one LIFO stack seeded with every
+// cluster, so it emitted cluster n-1's tree first, and unit ids have
+// kept that order. Leftovers go ascending. Every unit is a fresh copy,
+// because merge and finalize append and sort in place and a
+// Maintainer's component state must survive them.
+func unitOrder(comps []compState, skipPurification bool) (units [][]int, leftover []int) {
+	type ref struct{ c, i int }
+	var refs []ref
+	for c := range comps {
+		for i := range comps[c].clusters {
+			refs = append(refs, ref{c, i})
+		}
+		leftover = append(leftover, comps[c].leftover...)
+	}
+	sort.Slice(refs, func(a, b int) bool {
+		return comps[refs[a].c].clusters[refs[a].i][0] < comps[refs[b].c].clusters[refs[b].i][0]
+	})
+	sort.Ints(leftover)
+	if skipPurification {
+		for _, r := range refs {
+			units = append(units, append([]int(nil), comps[r.c].clusters[r.i]...))
+		}
+		return units, leftover
+	}
+	for j := len(refs) - 1; j >= 0; j-- {
+		r := refs[j]
+		for _, u := range comps[r.c].purified[r.i] {
+			units = append(units, append([]int(nil), u...))
+		}
+	}
+	return units, leftover
 }
 
 // merge implements the semantic-unit merging step: nearby units whose

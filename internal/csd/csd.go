@@ -200,42 +200,59 @@ func Popularity(pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel) []
 	return pop
 }
 
-// popularity is the execution-layer core of Popularity: each POI's
-// kernel sum is independent, so the loop fans out over the worker pool.
-// pop[i] is accumulated in ascending stay-id order regardless of the
-// worker count or the index backend's result order, so the sums are
-// bit-identical across budgets AND across spatial backends — and, since
-// stay points are only ever appended, a later delta batch continues
-// each POI's float-addition chain exactly where the full build left it
-// (the Maintainer's incremental update depends on this canonical
-// order). Each worker slot borrows one range-query buffer from the
-// cross-stage arena pool — the sums depend only on the query results,
-// never on leftover buffer contents, so reuse within and across stage
-// invocations cannot perturb determinism.
+// popularity is the execution-layer core of Popularity: foldPopularity
+// into a zero vector. Each worker slot borrows one range-query buffer
+// from the cross-stage arena pool — the sums depend only on the query
+// results, never on leftover buffer contents, so reuse within and
+// across stage invocations cannot perturb determinism.
 func popularity(ctx context.Context, pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel, opt exec.Options) ([]float64, error) {
 	pop := make([]float64, len(pois))
-	if len(stays) == 0 {
-		return pop, nil
+	if _, err := foldPopularity(ctx, pois, pop, geo.Pack(stays), kernel, opt); err != nil {
+		return nil, err
 	}
-	stayIdx := index.New(opt.Index, stays, kernel.Radius())
+	return pop, nil
+}
+
+// foldPopularity adds to acc[i], for every POI i, the kernel weights of
+// the stays within R3σ of it, and returns the POIs it touched,
+// ascending. Each POI's loop is independent, so it fans out over the
+// worker pool. The weights fold in ascending stay-id order
+// (geo.WeightSumInto) regardless of the worker count or the index
+// backend's result order, so the sums are bit-identical across budgets
+// AND across spatial backends — and, since stay points are only ever
+// appended, folding a later batch into the previous sums continues
+// each POI's float-addition chain exactly where a full build over
+// every stay would have been (the Maintainer's delta popularity).
+func foldPopularity(ctx context.Context, pois []poi.POI, acc []float64, stays *geo.PackedPoints, kernel geo.GaussianKernel, opt exec.Options) ([]int, error) {
+	if stays.Len() == 0 {
+		return nil, nil
+	}
+	stayIdx := index.NewPacked(opt.Index, stays, kernel.Radius())
+	touched := make([]bool, len(pois))
 	arenas := opt.AcquireArenas(exec.Slots(opt.Workers, len(pois)))
 	err := exec.ParallelForSlots(ctx, opt.Workers, len(pois), func(slot, i int) error {
 		loc := pois[i].Location
 		buf := stayIdx.WithinAppend(loc, kernel.Radius(), arenas[slot].Ints[:0])
 		arenas[slot].Ints = buf
-		sort.Ints(buf)
-		var sum float64
-		for _, s := range buf {
-			sum += kernel.Weight(loc, stays[s])
+		if len(buf) == 0 {
+			return nil
 		}
-		pop[i] = sum
+		sort.Ints(buf)
+		acc[i] = kernel.WeightSumInto(acc[i], loc, stays, buf)
+		touched[i] = true
 		return nil
 	})
 	opt.ReleaseArenas(arenas)
 	if err != nil {
 		return nil, err
 	}
-	return pop, nil
+	var ids []int
+	for i, t := range touched {
+		if t {
+			ids = append(ids, i)
+		}
+	}
+	return ids, nil
 }
 
 // popRatioOK implements line 5 of Algorithm 1: both popularity ratios

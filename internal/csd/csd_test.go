@@ -1,11 +1,17 @@
 package csd
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"csdm/internal/exec"
 	"csdm/internal/geo"
+	"csdm/internal/index"
 	"csdm/internal/poi"
 	"csdm/internal/synth"
 )
@@ -417,5 +423,68 @@ func BenchmarkBuildCSDSmallCity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(city.POIs, stays, DefaultParams())
+	}
+}
+
+// TestComponentClusteringMatchesSequential checks the cluster step's
+// per-component fan-out against the reference Algorithm 1: one
+// ascending-seed growClusters pass over every POI. Clusters must come
+// back identical once put in seed order, and so must the leftovers.
+func TestComponentClusteringMatchesSequential(t *testing.T) {
+	cfg := synth.DefaultConfig()
+	cfg.Seed = 1
+	cfg.NumPOIs, cfg.NumPassengers, cfg.Days = 2000, 400, 7
+	city := synth.NewCity(cfg)
+	var stays []geo.Point
+	for _, j := range city.GenerateWorkload().Journeys {
+		stays = append(stays, j.Pickup, j.Dropoff)
+	}
+	params := DefaultParams()
+	d := &Diagram{Params: params, POIs: city.POIs, kernel: newKernelFor(params)}
+	pop, err := popularity(context.Background(), city.POIs, stays, d.kernel, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Pop = pop
+	n := len(city.POIs)
+	seeds := make([]int, n)
+	for i := range seeds {
+		seeds[i] = i
+	}
+	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindRTree} {
+		locIdx := index.New(kind, poi.Locations(city.POIs), params.EpsP)
+		wantClusters, wantLeftover, err := d.growClusters(context.Background(), locIdx, seeds, make([]bool, n), make([]bool, n), &growScratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wantClusters) < 20 {
+			t.Fatalf("reference pass grew %d clusters; workload too weak", len(wantClusters))
+		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/w%d", kind, workers), func(t *testing.T) {
+				st := &phaseState{}
+				dirty, err := d.cluster(envWith(workers, kind), nil, st, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(dirty) != len(st.comps) || len(st.comps) < 2 {
+					t.Fatalf("ran on %d of %d components; want all, and more than one", len(dirty), len(st.comps))
+				}
+				var clusters [][]int
+				var leftover []int
+				for _, cs := range st.comps {
+					clusters = append(clusters, cs.clusters...)
+					leftover = append(leftover, cs.leftover...)
+				}
+				sort.Slice(clusters, func(a, b int) bool { return clusters[a][0] < clusters[b][0] })
+				sort.Ints(leftover)
+				if !reflect.DeepEqual(wantClusters, clusters) {
+					t.Fatalf("clusters differ: sequential %d, components %d", len(wantClusters), len(clusters))
+				}
+				if !reflect.DeepEqual(wantLeftover, leftover) {
+					t.Fatalf("leftover differs: sequential %d, components %d", len(wantLeftover), len(leftover))
+				}
+			})
+		}
 	}
 }

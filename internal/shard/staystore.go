@@ -3,7 +3,6 @@ package shard
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -56,8 +55,8 @@ func (m MemStays) LoadRect(r geo.Rect) ([]int, *geo.PackedPoints, error) {
 const (
 	stayMagic       = "CSDSTAY1"
 	stayVersion     = 1
-	stayHeaderSize  = len(stayMagic) + 8    // magic + version u32 + chunkCap u32
-	chunkHeaderSize = 4 + 4*8               // count u32 + bounds rect (4 × f64)
+	stayHeaderSize  = len(stayMagic) + 8 // magic + version u32 + chunkCap u32
+	chunkHeaderSize = 4 + 4*8            // count u32 + bounds rect (4 × f64)
 	// DefaultChunkCap is the default points-per-chunk (64 KiB of
 	// coordinate data per chunk).
 	DefaultChunkCap = 4096
@@ -189,6 +188,8 @@ type StayStore struct {
 }
 
 // OpenStayStore opens the store at path and scans its chunk directory.
+// A store whose chunk directory does not end exactly at the file's
+// size is rejected as truncated.
 func OpenStayStore(path string) (*StayStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -207,15 +208,24 @@ func OpenStayStore(path string) (*StayStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("shard: stay store version %d, want %d", v, stayVersion)
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("shard: stay store: %w", err)
+	}
+	// The chunk directory must end exactly at the end of the file: a
+	// short chunk header or a chunk whose columns run past EOF is a
+	// truncated store, never a clean end.
+	size := fi.Size()
 	s := &StayStore{f: f}
 	off := int64(stayHeaderSize)
 	var ch [chunkHeaderSize]byte
-	for {
-		_, err := f.ReadAt(ch[:], off)
-		if errors.Is(err, io.EOF) {
-			break
+	for off < size {
+		if size-off < chunkHeaderSize {
+			f.Close()
+			return nil, fmt.Errorf("shard: stay store truncated inside the chunk header at offset %d", off)
 		}
-		if err != nil {
+		if _, err := f.ReadAt(ch[:], off); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("shard: stay store chunk directory: %w", err)
 		}
@@ -223,6 +233,11 @@ func OpenStayStore(path string) (*StayStore, error) {
 		if n <= 0 {
 			f.Close()
 			return nil, fmt.Errorf("shard: stay store: empty chunk at offset %d", off)
+		}
+		end := off + chunkHeaderSize + int64(16*n)
+		if end > size {
+			f.Close()
+			return nil, fmt.Errorf("shard: stay store truncated inside the chunk at offset %d (%d points need %d bytes, %d left)", off, n, end-off, size-off)
 		}
 		s.chunks = append(s.chunks, stayChunk{
 			off:   off + chunkHeaderSize,
@@ -234,7 +249,7 @@ func OpenStayStore(path string) (*StayStore, error) {
 			},
 		})
 		s.total += n
-		off += chunkHeaderSize + int64(16*n)
+		off = end
 	}
 	return s, nil
 }
