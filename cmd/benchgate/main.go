@@ -1,534 +1,168 @@
-// Command benchgate compares two BenchmarkMine JSON reports (written by
-// TestEmitBenchMineJSON with BENCH_MINE_JSON set) and fails when the
-// candidate regresses: a slower ns_per_op beyond the tolerance, more
-// allocs_per_op beyond its own tolerance, any change in the
-// deterministic pattern count, or — with -min-efficiency set — a
-// multi-worker line whose speedup over the candidate's own workers-1
-// line falls below the floor.
+// Command benchgate compares two bench ledgers — flat JSON lists of
+// records, written by TestEmitBench with BENCH_JSON set — and fails
+// when a candidate record breaks its gate.
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_7.json -candidate bench_new.json \
-//	    [-tolerance 0.10] [-alloc-tolerance 0.10] [-min-efficiency 2.0]
+//	benchgate -baseline BENCH.json -candidate bench_candidate.json
 //
-// Every worker count the candidate reports must exist in the baseline:
-// a missing baseline line is an error, not a skip — a silently skipped
-// line is a gate that never gates. Pin the candidate's curve to the
-// baseline's with $BENCH_MINE_WORKERS when measuring on machines whose
-// core count differs from the baseline machine's. Baseline lines absent
-// from the candidate are reported but don't fail (a baseline refreshed
-// on a bigger machine must not brick smaller ones).
+// A record (benchledger.Record) is {name, layer, unit, better, value,
+// tol?, limit?}, where better is "lower" or "higher". Every check is
+// one of three kinds:
 //
-// The efficiency floor is recomputed from the candidate report itself —
-// ns(workers-1) / ns(workers-k) — never trusted from the file, and it
-// is enforced only when the candidate machine had at least as many
-// cores as the line's worker count (num_cpu in the report): demanding a
-// 2× speedup from a 1-core container would gate on physics, not code.
-// A baseline written before allocs_per_op existed carries zero there,
-// which disables the allocation comparison for that line.
+//   - tol > 0: the largest relative worsening allowed against the
+//     baseline record of the same name, in the better direction
+//     (lower: value <= base*(1+tol); higher: value >= base*(1-tol)).
+//   - tol = 0: exact — the value must equal the baseline's. This gates
+//     the deterministic counts (patterns, units).
+//   - limit: an absolute bound on the candidate's own value (lower:
+//     value <= limit; higher: value >= limit), checked with or without
+//     a baseline record.
 //
-// With -delta, the inputs are BENCH_DELTA.json incrementality reports
-// (written by TestEmitBenchDeltaJSON with BENCH_DELTA_JSON set):
-// per-fraction full-rebuild vs delta-apply timings. The candidate fails
-// when its smallest-fraction speedup — recomputed from its own ns
-// lines, never read from the file — falls below -min-speedup, when any
-// line's speedup regresses beyond the tolerance against the baseline's,
-// or when the deterministic unit count changes. As everywhere else, a
-// candidate fraction with no baseline line is a hard failure.
+// A record with neither tol nor limit is stored but not gated. Gates
+// are read from the candidate, so the emitter's table is the one place
+// they are written.
 //
-// With -shard, the inputs are BENCH_SHARD.json geo-sharding reports
-// (written by TestEmitBenchShardJSON with BENCH_SHARD_JSON set):
-// per-tiling sharded-build timings plus residency counters. The
-// candidate fails when any tiling's unit count differs from the
-// baseline's (the sharded build is bit-identical by contract, so a
-// drifting unit count means the halo merge broke), when its
-// max-resident stay fraction — recomputed from the candidate's own
-// max_shard_stays / total_stays, never read from the file — exceeds
-// -max-resident (the out-of-core promise: no shard holds the whole
-// corpus), or when ns_per_op regresses beyond the tolerance. A
-// candidate tiling with no baseline line is a hard failure.
+// A candidate record with tol but no baseline record fails: a silently
+// skipped line is a gate that never gates. A baseline-only record is
+// reported but does not fail. Exit status: 0 pass, 1 a gate failed, 2
+// bad usage, an unreadable ledger, or no record in common.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
+
+	"csdm/internal/benchledger"
 )
 
-type result struct {
-	Workers            int     `json:"workers"`
-	NsPerOp            int64   `json:"ns_per_op"`
-	AllocsPerOp        int64   `json:"allocs_per_op"`
-	Patterns           int     `json:"patterns"`
-	ParallelEfficiency float64 `json:"parallel_efficiency,omitempty"`
-}
+// rowFmt lays out one line of the report table.
+const rowFmt = "%-36s  %-6s  %-15s  %-26s  %s\n"
 
-type report struct {
-	Benchmark  string   `json:"benchmark"`
-	GoMaxProcs int      `json:"go_max_procs"`
-	NumCPU     int      `json:"num_cpu"`
-	Results    []result `json:"results"`
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func readReport(path string) (report, error) {
-	var r report
-	b, err := os.ReadFile(path)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseline := fs.String("baseline", "", "committed ledger (BENCH.json)")
+	candidate := fs.String("candidate", "", "freshly measured ledger")
+	if err := fs.Parse(args); err != nil || *baseline == "" || *candidate == "" || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "usage: benchgate -baseline BENCH.json -candidate bench_candidate.json")
+		return 2
+	}
+	base, err := readLedger(*baseline)
 	if err != nil {
-		return r, err
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
 	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
+	cand, err := readLedger(*candidate)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
 	}
-	return r, nil
-}
-
-// nsPerOp returns the report's ns_per_op for the given worker count,
-// or zero when the line is absent.
-func (r report) nsPerOp(workers int) int64 {
-	for _, res := range r.Results {
-		if res.Workers == workers {
-			return res.NsPerOp
+	byName := make(map[string]benchledger.Record, len(base))
+	for _, b := range base {
+		byName[b.Name] = b
+	}
+	failed, compared := false, 0
+	fmt.Fprintf(stdout, rowFmt, "record", "unit", "gate", "base -> cand", "status")
+	for _, c := range cand {
+		b, ok := byName[c.Name]
+		delete(byName, c.Name)
+		values := fmt.Sprintf("- -> %.4g", c.Value)
+		if ok {
+			compared++
+			values = fmt.Sprintf("%.4g -> %.4g", b.Value, c.Value)
 		}
+		status := "ok"
+		if why := verdict(c, b, ok); why != "" {
+			status = "FAIL (" + why + ")"
+			failed = true
+		} else if !ok {
+			status = "ok (no baseline record)"
+		}
+		fmt.Fprintf(stdout, rowFmt, c.Name, c.Unit, gateOf(c), values, status)
+	}
+	for _, b := range base {
+		if _, only := byName[b.Name]; only {
+			fmt.Fprintf(stdout, rowFmt, b.Name, b.Unit, "-", fmt.Sprintf("%.4g -> -", b.Value), "baseline only, not gated")
+		}
+	}
+	if compared == 0 {
+		fmt.Fprintln(stderr, "benchgate: the ledgers have no record in common")
+		return 2
+	}
+	if failed {
+		return 1
 	}
 	return 0
 }
 
-func main() {
-	baseline := flag.String("baseline", "", "committed baseline JSON")
-	candidate := flag.String("candidate", "", "freshly measured JSON")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed ns_per_op slowdown (0.10 = 10%); in -serve mode, allowed QPS loss")
-	allocTolerance := flag.Float64("alloc-tolerance", 0.10, "allowed allocs_per_op growth (0.10 = 10%)")
-	minEfficiency := flag.Float64("min-efficiency", 0, "minimum speedup of multi-worker lines over the candidate's workers-1 line (0 disables)")
-	serveMode := flag.Bool("serve", false, "compare BENCH_SERVE.json serving reports (QPS floor, p99 ceiling) instead of mining reports")
-	p99Tolerance := flag.Float64("p99-tolerance", 1.0, "with -serve, allowed p99 latency growth (1.0 = 2x the baseline)")
-	deltaMode := flag.Bool("delta", false, "compare BENCH_DELTA.json incrementality reports (delta-apply speedup floor) instead of mining reports")
-	minSpeedup := flag.Float64("min-speedup", 5.0, "with -delta, minimum full-rebuild/delta-apply speedup at the smallest fraction")
-	shardMode := flag.Bool("shard", false, "compare BENCH_SHARD.json geo-sharding reports (residency ceiling, unit identity) instead of mining reports")
-	maxResident := flag.Float64("max-resident", 0.75, "with -shard, ceiling on the candidate's max_shard_stays/total_stays fraction")
-	flag.Parse()
-	if *baseline == "" || *candidate == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchgate -baseline a.json -candidate b.json [-tolerance 0.10] [-alloc-tolerance 0.10] [-min-efficiency 2.0] [-serve [-p99-tolerance 1.0]] [-delta [-min-speedup 5.0]] [-shard [-max-resident 0.75]]")
-		os.Exit(2)
+// verdict returns why candidate record c fails its gates against
+// baseline record b (present when hasBase), or "" when it passes.
+func verdict(c, b benchledger.Record, hasBase bool) string {
+	lower := c.Better == "lower"
+	if l := c.Limit; l != nil && (lower && c.Value > *l || !lower && c.Value < *l) {
+		return fmt.Sprintf("%.4g is past the limit %.4g", c.Value, *l)
 	}
-	modes := 0
-	for _, on := range []bool{*serveMode, *deltaMode, *shardMode} {
-		if on {
-			modes++
-		}
+	switch tol := c.Tol; {
+	case tol == nil:
+		return ""
+	case !hasBase:
+		return "gated by tol but no baseline record"
+	case b.Unit != c.Unit:
+		return fmt.Sprintf("unit %q, baseline %q", c.Unit, b.Unit)
+	case *tol == 0 && c.Value != b.Value:
+		return "not equal to the baseline"
+	case lower && c.Value > b.Value*(1+*tol), !lower && c.Value < b.Value*(1-*tol):
+		return fmt.Sprintf("worse than the baseline by more than %.0f%%", *tol*100)
 	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "benchgate: -serve, -delta and -shard are mutually exclusive")
-		os.Exit(2)
+	return ""
+}
+
+// gateOf renders a record's gates for the report table.
+func gateOf(r benchledger.Record) string {
+	var g []string
+	switch {
+	case r.Tol != nil && *r.Tol == 0:
+		g = append(g, "exact")
+	case r.Tol != nil:
+		g = append(g, fmt.Sprintf("tol %g", *r.Tol))
 	}
-	if *serveMode {
-		gateServe(*baseline, *candidate, *tolerance, *p99Tolerance)
-		return
+	if r.Limit != nil {
+		g = append(g, fmt.Sprintf("limit %g", *r.Limit))
 	}
-	if *deltaMode {
-		gateDelta(*baseline, *candidate, *tolerance, *minSpeedup)
-		return
+	if len(g) == 0 {
+		return "-"
 	}
-	if *shardMode {
-		gateShard(*baseline, *candidate, *tolerance, *maxResident)
-		return
-	}
-	base, err := readReport(*baseline)
+	return strings.Join(g, " ")
+}
+
+// readLedger decodes a ledger and rejects records no gate could read:
+// an empty or repeated name, or a better direction other than lower
+// or higher.
+func readLedger(path string) ([]benchledger.Record, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		return nil, err
 	}
-	cand, err := readReport(*candidate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+	var recs []benchledger.Record
+	if err := json.Unmarshal(data, &recs); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	byWorkers := make(map[int]result, len(base.Results))
-	for _, r := range base.Results {
-		byWorkers[r.Workers] = r
-	}
-	candWorkers := make(map[int]bool, len(cand.Results))
-	for _, r := range cand.Results {
-		candWorkers[r.Workers] = true
-	}
-	for _, b := range base.Results {
-		if !candWorkers[b.Workers] {
-			fmt.Printf("workers-%d: baseline only (candidate machine did not measure it), not gated\n", b.Workers)
-		}
-	}
-
-	// The scaling curves are normalized inside each report: same
-	// machine, same build, so the ratio is pure parallelism and stays
-	// comparable across machines of different absolute speed.
-	candBaseNs := cand.nsPerOp(1)
-	baseBaseNs := base.nsPerOp(1)
-
-	failed := false
-	compared := 0
-	fmt.Printf("%-10s  %-26s  %-26s  %-14s  %s\n", "line", "ns/op (base -> cand)", "allocs/op (base -> cand)", "efficiency", "status")
-	for _, c := range cand.Results {
-		b, ok := byWorkers[c.Workers]
-		if !ok {
-			// A gate that silently skips unmatched lines never gates:
-			// candidate lines must have a baseline to answer to.
-			fmt.Printf("workers-%d: FAIL (no baseline line; refresh the baseline or pin BENCH_MINE_WORKERS to its curve)\n", c.Workers)
-			failed = true
-			continue
-		}
-		compared++
-		ratio := float64(c.NsPerOp) / float64(b.NsPerOp)
-		allocRatio := 0.0
-		if b.AllocsPerOp > 0 {
-			allocRatio = float64(c.AllocsPerOp) / float64(b.AllocsPerOp)
-		}
-
-		// Efficiencies are recomputed from each report's own workers-1
-		// line, not read: the files' parallel_efficiency fields are
-		// informational only.
-		candEff := 0.0
-		if candBaseNs > 0 && c.NsPerOp > 0 {
-			candEff = float64(candBaseNs) / float64(c.NsPerOp)
-		}
-		baseEff := 0.0
-		if baseBaseNs > 0 && b.NsPerOp > 0 {
-			baseEff = float64(baseBaseNs) / float64(b.NsPerOp)
-		}
-		effNote := fmt.Sprintf("%.2fx -> %.2fx", baseEff, candEff)
-		if c.Workers == 1 {
-			effNote = "1.00x (norm)"
-		}
-
-		status := "ok"
+	seen := make(map[string]bool, len(recs))
+	for _, r := range recs {
 		switch {
-		case c.Patterns != b.Patterns:
-			status = fmt.Sprintf("FAIL (patterns %d -> %d: mining output is no longer identical)", b.Patterns, c.Patterns)
-			failed = true
-		case ratio > 1.0+*tolerance:
-			status = fmt.Sprintf("FAIL (>%.0f%% slower)", *tolerance*100)
-			failed = true
-		case b.AllocsPerOp > 0 && allocRatio > 1.0+*allocTolerance:
-			status = fmt.Sprintf("FAIL (>%.0f%% more allocations)", *allocTolerance*100)
-			failed = true
-		case *minEfficiency > 0 && c.Workers > 1:
-			switch {
-			case cand.NumCPU > 0 && cand.NumCPU < c.Workers:
-				status = fmt.Sprintf("ok (efficiency floor skipped: machine has %d cores < %d workers)", cand.NumCPU, c.Workers)
-			case candBaseNs == 0:
-				status = "FAIL (no workers-1 line in candidate to compute efficiency against)"
-				failed = true
-			case candEff < *minEfficiency:
-				status = fmt.Sprintf("FAIL (efficiency %.2fx < %.2fx floor)", candEff, *minEfficiency)
-				failed = true
-			}
+		case r.Name == "" || seen[r.Name]:
+			return nil, fmt.Errorf("%s: empty or repeated record name %q", path, r.Name)
+		case r.Better != "lower" && r.Better != "higher":
+			return nil, fmt.Errorf("%s: record %s: better is %q, want lower or higher", path, r.Name, r.Better)
 		}
-
-		allocCol := "n/a"
-		if b.AllocsPerOp > 0 {
-			allocCol = fmt.Sprintf("%d -> %d (%.2fx)", b.AllocsPerOp, c.AllocsPerOp, allocRatio)
-		}
-		fmt.Printf("%-10s  %-26s  %-26s  %-14s  %s\n",
-			fmt.Sprintf("workers-%d", c.Workers),
-			fmt.Sprintf("%d -> %d (%.2fx)", b.NsPerOp, c.NsPerOp, ratio),
-			allocCol, effNote, status)
+		seen[r.Name] = true
 	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no comparable worker counts between reports")
-		os.Exit(2)
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// serveResult is one concurrency line of a BENCH_SERVE.json report
-// (written by cmd/loadgen -bench or TestEmitBenchServeJSON).
-type serveResult struct {
-	Concurrency int     `json:"concurrency"`
-	Requests    int64   `json:"requests"`
-	OK          int64   `json:"ok"`
-	Shed        int64   `json:"shed"`
-	Errors      int64   `json:"errors"`
-	QPS         float64 `json:"qps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-}
-
-type serveReport struct {
-	Benchmark string        `json:"benchmark"`
-	NumCPU    int           `json:"num_cpu"`
-	Results   []serveResult `json:"results"`
-}
-
-// gateServe compares two serving benchmarks line-by-line on
-// concurrency: the candidate fails on a QPS drop beyond qpsTol, a p99
-// growth beyond p99Tol, or any errored requests (a robustness
-// benchmark with errors measures the wrong thing). Like the mining
-// gate, a candidate line with no baseline line is a hard failure —
-// a silently skipped line is a gate that never gates.
-func gateServe(baselinePath, candidatePath string, qpsTol, p99Tol float64) {
-	readServe := func(path string) serveReport {
-		var r serveReport
-		b, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(b, &r)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", path, err)
-			os.Exit(2)
-		}
-		return r
-	}
-	base := readServe(baselinePath)
-	cand := readServe(candidatePath)
-	byConc := make(map[int]serveResult, len(base.Results))
-	for _, r := range base.Results {
-		byConc[r.Concurrency] = r
-	}
-	failed := false
-	compared := 0
-	fmt.Printf("%-16s  %-24s  %-24s  %s\n", "line", "qps (base -> cand)", "p99 ms (base -> cand)", "status")
-	for _, c := range cand.Results {
-		b, ok := byConc[c.Concurrency]
-		if !ok {
-			fmt.Printf("concurrency-%d: FAIL (no baseline line)\n", c.Concurrency)
-			failed = true
-			continue
-		}
-		compared++
-		status := "ok"
-		switch {
-		case c.Errors > 0:
-			status = fmt.Sprintf("FAIL (%d errored requests)", c.Errors)
-			failed = true
-		case c.OK == 0:
-			status = "FAIL (no served requests)"
-			failed = true
-		case b.QPS > 0 && c.QPS < b.QPS*(1-qpsTol):
-			status = fmt.Sprintf("FAIL (QPS dropped >%.0f%%)", qpsTol*100)
-			failed = true
-		case b.P99Ms > 0 && c.P99Ms > b.P99Ms*(1+p99Tol):
-			status = fmt.Sprintf("FAIL (p99 grew >%.0f%%)", p99Tol*100)
-			failed = true
-		}
-		fmt.Printf("%-16s  %-24s  %-24s  %s\n",
-			fmt.Sprintf("concurrency-%d", c.Concurrency),
-			fmt.Sprintf("%.1f -> %.1f", b.QPS, c.QPS),
-			fmt.Sprintf("%.2f -> %.2f", b.P99Ms, c.P99Ms),
-			status)
-	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no comparable concurrency lines between serve reports")
-		os.Exit(2)
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// deltaResult is one new-stay-fraction line of a BENCH_DELTA.json
-// report (written by TestEmitBenchDeltaJSON).
-type deltaResult struct {
-	Fraction     float64 `json:"fraction"`
-	BatchStays   int     `json:"batch_stays"`
-	FullNsPerOp  int64   `json:"full_ns_per_op"`
-	DeltaNsPerOp int64   `json:"delta_ns_per_op"`
-	Speedup      float64 `json:"speedup"`
-	Units        int     `json:"units"`
-}
-
-type deltaReport struct {
-	Benchmark  string        `json:"benchmark"`
-	GoMaxProcs int           `json:"go_max_procs"`
-	NumCPU     int           `json:"num_cpu"`
-	Results    []deltaResult `json:"results"`
-}
-
-// gateDelta compares two incrementality reports line-by-line on the
-// new-stay fraction. Speedups are recomputed from each report's own
-// full/delta ns — within one report they come from the same machine
-// and build, so the ratio is pure incrementality and stays comparable
-// across machines of different absolute speed. The candidate fails
-// when the smallest fraction's speedup is below minSpeedup (the
-// whole-feature floor: a "delta" apply that rebuilds the world scores
-// ~1×), when any line's speedup falls more than tol below the
-// baseline's, or when the deterministic unit count changes. A
-// candidate fraction with no baseline line is a hard failure.
-func gateDelta(baselinePath, candidatePath string, tol, minSpeedup float64) {
-	readDelta := func(path string) deltaReport {
-		var r deltaReport
-		b, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(b, &r)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", path, err)
-			os.Exit(2)
-		}
-		return r
-	}
-	speedup := func(r deltaResult) float64 {
-		if r.DeltaNsPerOp <= 0 {
-			return 0
-		}
-		return float64(r.FullNsPerOp) / float64(r.DeltaNsPerOp)
-	}
-	base := readDelta(baselinePath)
-	cand := readDelta(candidatePath)
-	byFraction := make(map[float64]deltaResult, len(base.Results))
-	for _, r := range base.Results {
-		byFraction[r.Fraction] = r
-	}
-	smallest := 0.0
-	for _, c := range cand.Results {
-		if smallest == 0 || c.Fraction < smallest {
-			smallest = c.Fraction
-		}
-	}
-	failed := false
-	compared := 0
-	fmt.Printf("%-14s  %-30s  %-22s  %s\n", "line", "delta ns/op (base -> cand)", "speedup (base -> cand)", "status")
-	for _, c := range cand.Results {
-		b, ok := byFraction[c.Fraction]
-		if !ok {
-			fmt.Printf("fraction-%g: FAIL (no baseline line; refresh BENCH_DELTA.json)\n", c.Fraction)
-			failed = true
-			continue
-		}
-		compared++
-		candSp, baseSp := speedup(c), speedup(b)
-		status := "ok"
-		switch {
-		case c.Units != b.Units:
-			status = fmt.Sprintf("FAIL (units %d -> %d: diagram output is no longer identical)", b.Units, c.Units)
-			failed = true
-		case candSp <= 0:
-			status = "FAIL (no measurable delta-apply time)"
-			failed = true
-		case c.Fraction == smallest && candSp < minSpeedup:
-			status = fmt.Sprintf("FAIL (speedup %.1fx < %.1fx floor at the smallest fraction)", candSp, minSpeedup)
-			failed = true
-		case baseSp > 0 && candSp < baseSp*(1-tol):
-			status = fmt.Sprintf("FAIL (speedup regressed >%.0f%% vs baseline)", tol*100)
-			failed = true
-		}
-		fmt.Printf("%-14s  %-30s  %-22s  %s\n",
-			fmt.Sprintf("fraction-%g", c.Fraction),
-			fmt.Sprintf("%d -> %d", b.DeltaNsPerOp, c.DeltaNsPerOp),
-			fmt.Sprintf("%.1fx -> %.1fx", baseSp, candSp),
-			status)
-	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no comparable fraction lines between delta reports")
-		os.Exit(2)
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// shardResult is one tiling line of a BENCH_SHARD.json report (written
-// by TestEmitBenchShardJSON).
-type shardResult struct {
-	Tiling           string  `json:"tiling"`
-	NsPerOp          int64   `json:"ns_per_op"`
-	MonoNsPerOp      int64   `json:"mono_ns_per_op"`
-	Units            int     `json:"units"`
-	TotalStays       int     `json:"total_stays"`
-	MaxShardStays    int     `json:"max_shard_stays"`
-	LoadedStays      int64   `json:"loaded_stays"`
-	ResidentFraction float64 `json:"resident_fraction"`
-}
-
-type shardReport struct {
-	Benchmark  string        `json:"benchmark"`
-	GoMaxProcs int           `json:"go_max_procs"`
-	NumCPU     int           `json:"num_cpu"`
-	Results    []shardResult `json:"results"`
-}
-
-// gateShard compares two geo-sharding reports line-by-line on the
-// tiling. The residency fraction — the out-of-core bound: the largest
-// share of the stay corpus any single shard had resident — is
-// recomputed from the candidate's own max_shard_stays / total_stays,
-// never trusted from the file, and must stay at or under maxResident.
-// Unit counts must match the baseline exactly: the sharded build is
-// bit-identical to the monolithic one by contract, so any drift means
-// the halo merge broke, not that the workload changed. ns_per_op is
-// gated with the usual tolerance; mono_ns_per_op is informational (the
-// sharded/monolithic overhead is visible in the table but machines
-// differ too much to gate on it). A candidate tiling with no baseline
-// line is a hard failure.
-func gateShard(baselinePath, candidatePath string, tol, maxResident float64) {
-	readShard := func(path string) shardReport {
-		var r shardReport
-		b, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(b, &r)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", path, err)
-			os.Exit(2)
-		}
-		return r
-	}
-	resident := func(r shardResult) float64 {
-		if r.TotalStays <= 0 {
-			return 1
-		}
-		return float64(r.MaxShardStays) / float64(r.TotalStays)
-	}
-	base := readShard(baselinePath)
-	cand := readShard(candidatePath)
-	byTiling := make(map[string]shardResult, len(base.Results))
-	for _, r := range base.Results {
-		byTiling[r.Tiling] = r
-	}
-	failed := false
-	compared := 0
-	fmt.Printf("%-8s  %-26s  %-22s  %-16s  %s\n", "line", "ns/op (base -> cand)", "resident (cand)", "vs monolithic", "status")
-	for _, c := range cand.Results {
-		b, ok := byTiling[c.Tiling]
-		if !ok {
-			fmt.Printf("%s: FAIL (no baseline line; refresh BENCH_SHARD.json)\n", c.Tiling)
-			failed = true
-			continue
-		}
-		compared++
-		res := resident(c)
-		ratio := 0.0
-		if b.NsPerOp > 0 {
-			ratio = float64(c.NsPerOp) / float64(b.NsPerOp)
-		}
-		overhead := "n/a"
-		if c.MonoNsPerOp > 0 && c.NsPerOp > 0 {
-			overhead = fmt.Sprintf("%.2fx mono", float64(c.NsPerOp)/float64(c.MonoNsPerOp))
-		}
-		status := "ok"
-		switch {
-		case c.Units != b.Units:
-			status = fmt.Sprintf("FAIL (units %d -> %d: sharded build is no longer bit-identical)", b.Units, c.Units)
-			failed = true
-		case c.TotalStays <= 0 || c.MaxShardStays <= 0:
-			status = "FAIL (no residency counters; the out-of-core bound was not measured)"
-			failed = true
-		case res > maxResident:
-			status = fmt.Sprintf("FAIL (max shard holds %.0f%% of stays > %.0f%% ceiling)", res*100, maxResident*100)
-			failed = true
-		case b.NsPerOp > 0 && ratio > 1.0+tol:
-			status = fmt.Sprintf("FAIL (>%.0f%% slower)", tol*100)
-			failed = true
-		}
-		fmt.Printf("%-8s  %-26s  %-22s  %-16s  %s\n",
-			c.Tiling,
-			fmt.Sprintf("%d -> %d (%.2fx)", b.NsPerOp, c.NsPerOp, ratio),
-			fmt.Sprintf("%d/%d stays (%.0f%%)", c.MaxShardStays, c.TotalStays, res*100),
-			overhead, status)
-	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no comparable tiling lines between shard reports")
-		os.Exit(2)
-	}
-	if failed {
-		os.Exit(1)
-	}
+	return recs, nil
 }

@@ -8,10 +8,11 @@ import (
 
 // Histogram is a lock-free bucketed distribution: a fixed ladder of
 // upper bounds plus an implicit +Inf overflow bucket, each backed by an
-// atomic counter, with an atomically accumulated sum. Observe is wait-
-// free apart from the CAS loop on the sum, allocates nothing, and is
-// safe for any number of concurrent writers — the properties the hot
-// paths (per-task latencies, sampled index queries) need.
+// atomic counter, with an atomically accumulated sum and the observed
+// minimum and maximum. Observe is wait-free apart from the CAS loops on
+// those three, allocates nothing, and is safe for any number of
+// concurrent writers — the properties the hot paths (per-task
+// latencies, sampled index queries) need.
 //
 // A nil *Histogram is a complete no-op, matching the package's nil-
 // safety contract: instrumented code holds a histogram pointer
@@ -22,6 +23,8 @@ type Histogram struct {
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Uint64 // math.Float64bits of the running sum
+	min    atomic.Uint64 // math.Float64bits of the smallest observation (+Inf before any)
+	max    atomic.Uint64 // math.Float64bits of the largest observation (-Inf before any)
 }
 
 // DefBuckets is the default bucket ladder: exponential, base 2, from
@@ -54,7 +57,10 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // bounds (callers usually pass DefBuckets or SizeBuckets). The bounds
 // slice is retained and must not be mutated.
 func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+	h := &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one value. NaN observations are dropped — they would
@@ -62,6 +68,14 @@ func NewHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
+	}
+	// The extremes move before the buckets do, so a snapshot that sees
+	// this observation counted also sees it inside [min, max]. Each
+	// loop retries its CAS only while v still beats the stored extreme.
+	bits := math.Float64bits(v)
+	for old := h.min.Load(); v < math.Float64frombits(old) && !h.min.CompareAndSwap(old, bits); old = h.min.Load() {
+	}
+	for old := h.max.Load(); v > math.Float64frombits(old) && !h.max.CompareAndSwap(old, bits); old = h.max.Load() {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
@@ -92,12 +106,14 @@ func (h *Histogram) Sum() float64 {
 }
 
 // HistogramSnapshot is the serializable point-in-time state of a
-// histogram: totals, estimated quantiles, and the raw buckets (Counts
-// holds per-bucket counts, not cumulative; its last entry is the +Inf
-// overflow bucket).
+// histogram: totals, the observed range, estimated quantiles, and the
+// raw buckets (Counts holds per-bucket counts, not cumulative; its last
+// entry is the +Inf overflow bucket). Min and Max are 0 when Count is.
 type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
+	Min    float64   `json:"min"`
+	Max    float64   `json:"max"`
 	P50    float64   `json:"p50"`
 	P95    float64   `json:"p95"`
 	P99    float64   `json:"p99"`
@@ -119,6 +135,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Count += s.Counts[i]
 	}
 	s.Sum = math.Float64frombits(h.sum.Load())
+	if s.Count > 0 {
+		s.Min = math.Float64frombits(h.min.Load())
+		s.Max = math.Float64frombits(h.max.Load())
+	}
 	s.P50 = s.Quantile(0.50)
 	s.P95 = s.Quantile(0.95)
 	s.P99 = s.Quantile(0.99)
@@ -127,14 +147,22 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // Quantile estimates the q-quantile (q in [0,1]) by linear
 // interpolation inside the bucket holding the q-th observation — the
-// same estimator Prometheus's histogram_quantile uses. Observations
-// are assumed non-negative (the first bucket interpolates from zero);
-// a quantile landing in the +Inf overflow bucket reports the largest
-// finite bound. Returns 0 when the histogram is empty.
+// same estimator Prometheus's histogram_quantile uses — clamped into
+// the observed [Min, Max], so a quantile never reports a value no
+// observation came near (a one-sample histogram reports the sample).
+// Returns 0 when the histogram is empty.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0
 	}
+	return min(max(s.bucketQuantile(q), s.Min), s.Max)
+}
+
+// bucketQuantile is the unclamped bucket estimate. Observations are
+// assumed non-negative (the first bucket interpolates from zero); a
+// quantile landing in the +Inf overflow bucket reports the largest
+// finite bound.
+func (s HistogramSnapshot) bucketQuantile(q float64) float64 {
 	if q < 0 {
 		q = 0
 	}

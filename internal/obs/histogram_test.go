@@ -128,8 +128,10 @@ func TestQuantileEdges(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(100) // everything overflows
 	}
-	if q := h.Snapshot().Quantile(0.5); q != 2 {
-		t.Fatalf("overflow quantile = %g, want last finite bound 2", q)
+	// The overflow bucket's estimate (the last finite bound, 2) lies
+	// below every observation; the clamp reports the observed value.
+	if q := h.Snapshot().Quantile(0.5); q != 100 {
+		t.Fatalf("overflow quantile = %g, want the observed 100", q)
 	}
 	h2 := NewHistogram([]float64{1, 2})
 	h2.Observe(0.5)
@@ -145,6 +147,38 @@ func TestQuantileEdges(t *testing.T) {
 	}
 	if q := s.Quantile(2); q != s.Quantile(1) {
 		t.Fatalf("q>1 not clamped: %g", q)
+	}
+}
+
+// TestQuantileSingleSample pins every quantile of a one-sample
+// histogram to the sample itself: the bucket estimate alone reports
+// the bucket's upper bound (a 1.074 s build printed as p50=2.097).
+func TestQuantileSingleSample(t *testing.T) {
+	h := NewHistogram(DefBuckets)
+	h.Observe(1.074)
+	s := h.Snapshot()
+	for _, got := range []float64{s.P50, s.P95, s.P99} {
+		if got != 1.074 {
+			t.Fatalf("p50/p95/p99 = %g/%g/%g, want the sample 1.074", s.P50, s.P95, s.P99)
+		}
+	}
+}
+
+// TestQuantileWithinObservedRange checks the clamp on a spread sample:
+// every quantile lies in [Min, Max], and those are the true extremes.
+func TestQuantileWithinObservedRange(t *testing.T) {
+	h := NewHistogram(DefBuckets)
+	for _, v := range []float64{0.3, 0.31, 0.33, 0.35} { // one bucket: (0.262, 0.524]
+		h.Observe(v)
+	}
+	s := h.Snapshot()
+	if s.Min != 0.3 || s.Max != 0.35 {
+		t.Fatalf("min/max = %g/%g, want 0.3/0.35", s.Min, s.Max)
+	}
+	for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
+		if v := s.Quantile(q); v < s.Min || v > s.Max {
+			t.Errorf("q=%g -> %g, outside the observed [%g, %g]", q, v, s.Min, s.Max)
+		}
 	}
 }
 
@@ -182,6 +216,9 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 	if inBuckets != workers*perWorker {
 		t.Fatalf("bucket total = %d, want %d", inBuckets, workers*perWorker)
+	}
+	if s := h.Snapshot(); s.Min != 1e-4 || s.Max != float64(workers)*1e-4 {
+		t.Fatalf("min/max = %g/%g, want %g/%g (CAS loop lost an extreme)", s.Min, s.Max, 1e-4, float64(workers)*1e-4)
 	}
 }
 

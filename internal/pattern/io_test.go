@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -102,4 +103,59 @@ func TestPatternJSONRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: ReadJSON accepted corrupt input", tc.name)
 		}
 	}
+}
+
+// FuzzPatternReadJSON pins the pattern loader's contract: ReadJSON on
+// arbitrary bytes returns an error or a pattern set — never a panic —
+// and every set it accepts survives WriteJSON → ReadJSON unchanged.
+func FuzzPatternReadJSON(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteJSON(&valid, samplePatterns()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add([]byte(`{"version":1,"patterns":[]}`))
+	f.Add([]byte(`{"version":1,"patterns":[{"stays":[{"p":{"lon":121.47,"lat":31.23},"t":"2024-03-01T08:30:00+08:00","s":3}],"items":[3],"support":2}]}`))
+	f.Add([]byte(`{"version":1,"patterns":[{"stays":[{"p":{"lon":999,"lat":0}}],"support":1}]}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, ps); err != nil {
+			t.Fatalf("rewrite of accepted patterns: %v", err)
+		}
+		again, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("reread of accepted patterns: %v", err)
+		}
+		if len(again) != len(ps) {
+			t.Fatalf("round trip: %d patterns, want %d", len(again), len(ps))
+		}
+		for i := range ps {
+			if !samePattern(again[i], ps[i]) {
+				t.Fatalf("round trip changed pattern %d:\n got %+v\nwant %+v", i, again[i], ps[i])
+			}
+		}
+	})
+}
+
+// samePattern compares the persisted fields of two patterns; stay
+// times compare as instants.
+func samePattern(a, b Pattern) bool {
+	if a.Support != b.Support || len(a.Stays) != len(b.Stays) || !slices.Equal(a.Items, b.Items) {
+		return false
+	}
+	for k := range a.Stays {
+		x, y := a.Stays[k], b.Stays[k]
+		if x.P != y.P || x.S != y.S || !x.T.Equal(y.T) {
+			return false
+		}
+	}
+	return true
 }

@@ -226,42 +226,3 @@ func quantile(sorted []float64, q float64) float64 {
 	idx := int(q * float64(len(sorted)-1))
 	return sorted[idx]
 }
-
-// BenchServeResult is one measured concurrency line of BENCH_SERVE.json.
-type BenchServeResult struct {
-	Concurrency int     `json:"concurrency"`
-	Requests    int64   `json:"requests"`
-	OK          int64   `json:"ok"`
-	Shed        int64   `json:"shed"`
-	Errors      int64   `json:"errors"`
-	QPS         float64 `json:"qps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P95Ms       float64 `json:"p95_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-}
-
-// BenchServeReport is the BENCH_SERVE.json document cmd/benchgate's
-// serve mode gates on: QPS floors and p99 ceilings per concurrency
-// line, tolerances supplied by the gate.
-type BenchServeReport struct {
-	Benchmark      string             `json:"benchmark"`
-	GoMaxProcs     int                `json:"go_max_procs"`
-	NumCPU         int                `json:"num_cpu"`
-	AdmissionLimit int                `json:"admission_limit"`
-	Results        []BenchServeResult `json:"results"`
-}
-
-// BenchResult converts a load report into its bench-report line.
-func (r LoadReport) BenchResult() BenchServeResult {
-	return BenchServeResult{
-		Concurrency: r.Concurrency,
-		Requests:    r.Requests,
-		OK:          r.OK,
-		Shed:        r.Shed,
-		Errors:      r.Errors,
-		QPS:         r.QPS,
-		P50Ms:       r.P50Ms,
-		P95Ms:       r.P95Ms,
-		P99Ms:       r.P99Ms,
-	}
-}

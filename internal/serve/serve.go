@@ -32,7 +32,7 @@
 //     timeout and reports whether every in-flight request finished.
 //
 // The package also houses the load-generation engine behind
-// cmd/loadgen and the BENCH_SERVE.json emitter.
+// cmd/loadgen and the serve section of the BENCH.json bench ledger.
 package serve
 
 import (

@@ -58,8 +58,9 @@ type Stats struct {
 	TotalStays  int
 	LoadedStays int
 	// MaxShardStays is the largest single shard's halo load — the
-	// build's resident-stay high-water mark per worker, and the number
-	// BENCH_SHARD.json records as the out-of-core proxy.
+	// build's resident-stay high-water mark per worker. Divided by
+	// TotalStays it is the resident_fraction the BENCH.json ledger
+	// records as the out-of-core proxy.
 	MaxShardStays int
 	// MaxShardPOIs is the largest owned POI set.
 	MaxShardPOIs int
